@@ -92,6 +92,11 @@ fn bench_tsdb_queries(c: &mut Criterion) {
     c.bench_function("tsdb_integrate_10k", |b| {
         b.iter(|| std::hint::black_box(db.integrate("power", "app1", from, to)))
     });
+    // The window a Table 2 interval getter asks for: the last 12 samples.
+    let tail = SimTime::from_secs((10_000 - 12) * 60);
+    c.bench_function("tsdb_integrate_window_10k", |b| {
+        b.iter(|| std::hint::black_box(db.integrate("power", "app1", tail, to)))
+    });
     c.bench_function("tsdb_p95_10k", |b| {
         b.iter(|| std::hint::black_box(db.percentile("power", "app1", from, to, 95.0)))
     });

@@ -6,7 +6,7 @@
 //! enforcement through quotas, and per-container/app/cluster power
 //! attribution.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use simkit::units::Watts;
 
@@ -61,6 +61,10 @@ pub struct Cop {
     servers: Vec<Server>,
     models: Vec<PowerModel>,
     containers: BTreeMap<ContainerId, Container>,
+    /// Every container id (stopped history included) of each owner, so
+    /// per-app queries visit only that app's containers — in id order,
+    /// the order a filter over `containers` would visit them.
+    by_owner: BTreeMap<AppId, BTreeSet<ContainerId>>,
     scheduler: Box<dyn Placement>,
     next_id: u64,
 }
@@ -99,6 +103,7 @@ impl Cop {
             servers,
             models,
             containers: BTreeMap::new(),
+            by_owner: BTreeMap::new(),
             scheduler,
             next_id: 0,
         }
@@ -117,16 +122,12 @@ impl Cop {
                     cores: spec.cores,
                     memory_mib: spec.memory_mib,
                 })?;
-        let server = self
-            .servers
-            .iter_mut()
-            .find(|s| s.id() == sid)
-            .expect("scheduler returned a valid id");
-        server.reserve(spec.cores, spec.memory_mib);
+        self.server_mut(sid).reserve(spec.cores, spec.memory_mib);
         let id = ContainerId::new(self.next_id);
         self.next_id += 1;
         self.containers
             .insert(id, Container::new(id, owner, spec, sid));
+        self.by_owner.entry(owner).or_default().insert(id);
         Ok(id)
     }
 
@@ -285,11 +286,19 @@ impl Cop {
         self.containers.get(&id)
     }
 
+    /// Every container of `owner` (stopped history included), in id order.
+    fn owned(&self, owner: AppId) -> impl Iterator<Item = &Container> {
+        self.by_owner
+            .get(&owner)
+            .into_iter()
+            .flatten()
+            .map(|id| &self.containers[id])
+    }
+
     /// All live (running or suspended) containers of an app, in id order.
     pub fn containers_of(&self, owner: AppId) -> Vec<&Container> {
-        self.containers
-            .values()
-            .filter(|c| c.owner() == owner && c.state() != ContainerState::Stopped)
+        self.owned(owner)
+            .filter(|c| c.state() != ContainerState::Stopped)
             .collect()
     }
 
@@ -300,9 +309,8 @@ impl Cop {
 
     /// Number of running containers for an app.
     pub fn running_count(&self, owner: AppId) -> usize {
-        self.containers
-            .values()
-            .filter(|c| c.owner() == owner && c.state() == ContainerState::Running)
+        self.owned(owner)
+            .filter(|c| c.state() == ContainerState::Running)
             .count()
     }
 
@@ -321,20 +329,14 @@ impl Cop {
 
     /// Power attributed to all of an app's containers.
     pub fn app_power(&self, owner: AppId) -> Watts {
-        self.containers
-            .values()
-            .filter(|c| c.owner() == owner)
+        self.owned(owner)
             .map(|c| self.models[c.server().value() as usize].power_of(c))
             .sum()
     }
 
     /// Effective compute capacity of an app in core-equivalents.
     pub fn app_effective_cores(&self, owner: AppId) -> f64 {
-        self.containers
-            .values()
-            .filter(|c| c.owner() == owner)
-            .map(Container::effective_cores)
-            .sum()
+        self.owned(owner).map(Container::effective_cores).sum()
     }
 
     /// Total cluster power: every server's idle power (the unattributed
@@ -358,10 +360,7 @@ impl Cop {
     /// Every container of an app — stopped ones included, since they are
     /// retained for accounting history — in id order.
     pub fn all_containers_of(&self, owner: AppId) -> Vec<&Container> {
-        self.containers
-            .values()
-            .filter(|c| c.owner() == owner)
-            .collect()
+        self.owned(owner).collect()
     }
 
     /// The next container id this COP would allocate. Together with
@@ -396,15 +395,10 @@ impl Cop {
     /// included), releasing the server reservations of live ones.
     /// Returns the removed containers in id order.
     pub fn remove_app_containers(&mut self, owner: AppId) -> Vec<Container> {
-        let ids: Vec<ContainerId> = self
-            .containers
-            .values()
-            .filter(|c| c.owner() == owner)
-            .map(|c| c.id())
-            .collect();
+        let ids = self.by_owner.remove(&owner).unwrap_or_default();
         let mut removed = Vec::with_capacity(ids.len());
         for id in ids {
-            let c = self.containers.remove(&id).expect("listed above");
+            let c = self.containers.remove(&id).expect("indexed by owner");
             if c.state() != ContainerState::Stopped {
                 let (cores, mem, sid) = (c.spec().cores, c.spec().memory_mib, c.server());
                 self.server_mut(sid).release(cores, mem);
@@ -435,7 +429,7 @@ impl Cop {
                 return Err(format!("duplicate container id {} in transfer", c.id()));
             }
             let sid = c.server();
-            let Some(server) = self.servers.iter().find(|s| s.id() == sid) else {
+            let Some(server) = self.servers.get(sid.value() as usize) else {
                 return Err(format!(
                     "container {} references unknown server {sid}",
                     c.id()
@@ -454,11 +448,7 @@ impl Cop {
             }
         }
         for (&sid, &(cores, mem)) in &required {
-            let server = self
-                .servers
-                .iter()
-                .find(|s| s.id() == sid)
-                .expect("checked");
+            let server = &self.servers[sid.value() as usize];
             if server.free_cores() < cores || server.free_memory_mib() < mem {
                 return Err(format!(
                     "server {sid} lacks capacity for migrating containers \
@@ -474,6 +464,7 @@ impl Cop {
             }
             max_id = max_id.max(c.id().value() + 1);
             self.containers.insert(c.id(), c.clone());
+            self.by_owner.entry(c.owner()).or_default().insert(c.id());
         }
         self.next_id = max_id;
         Ok(())
@@ -486,11 +477,10 @@ impl Cop {
             .map(|c| &self.models[c.server().value() as usize])
     }
 
+    /// Server ids are dense `0..n` (assigned in [`Cop::with_scheduler`]
+    /// and checked by [`Cop::restore`]), so an id is its index.
     fn server_mut(&mut self, id: ServerId) -> &mut Server {
-        self.servers
-            .iter_mut()
-            .find(|s| s.id() == id)
-            .expect("server ids are stable")
+        &mut self.servers[id.value() as usize]
     }
 
     /// Captures the COP's dynamic state for checkpointing.
@@ -563,6 +553,10 @@ impl Cop {
             .iter()
             .map(|s| PowerModel::new(*s.spec()))
             .collect();
+        self.by_owner = BTreeMap::new();
+        for c in containers.values() {
+            self.by_owner.entry(c.owner()).or_default().insert(c.id());
+        }
         self.containers = containers;
         self.next_id = snap.next_id;
         Ok(())

@@ -491,8 +491,10 @@ impl Ecovisor {
                 w[1].app, w[0].app
             )));
         }
+        // The views are strictly ascending (checked above), so each local
+        // app is found by binary search.
         for &id in self.apps.keys() {
-            if !views.iter().any(|v| v.app == id) {
+            if views.binary_search_by_key(&id, |v| v.app).is_err() {
                 return Err(EcovisorError::Protocol(format!(
                     "demand views are missing local app {id}"
                 )));

@@ -145,13 +145,22 @@ impl TimeSeries {
     ///
     /// Used to turn power series (watts) into energy (joule-seconds →
     /// watt-seconds) and carbon-rate series into totals.
+    ///
+    /// Costs O(log n + window): only the sample in force at `from`
+    /// through the last sample before `to` can overlap the window, and
+    /// the segments outside it contribute no term to the sum.
     pub fn integrate_step(&self, from: SimTime, to: SimTime) -> f64 {
         if self.samples.is_empty() || to <= from {
             return 0.0;
         }
+        let first = self
+            .samples
+            .partition_point(|s| s.at <= from)
+            .saturating_sub(1);
+        let end = self.samples.partition_point(|s| s.at < to);
         let mut total = 0.0;
         // Walk over segments [s_i.at, s_{i+1}.at) clipped to [from, to).
-        for (i, s) in self.samples.iter().enumerate() {
+        for (i, s) in self.samples.iter().enumerate().take(end).skip(first) {
             let seg_start = s.at;
             let seg_end = self
                 .samples

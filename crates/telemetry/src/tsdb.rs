@@ -1,15 +1,24 @@
 //! In-memory time-series database with interval queries.
+//!
+//! Series live in a hash map so the per-tick write path
+//! ([`Tsdb::record`]) and every point lookup cost O(1) and allocate
+//! nothing once a series exists; every surface that lists series
+//! (iteration, subject listings, merge collisions, serialization,
+//! `Debug`) sorts by key, so hash order never reaches an output.
 
-use std::collections::BTreeMap;
+use std::borrow::Borrow;
+use std::cmp::Ordering;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::hash::{Hash, Hasher};
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 use simkit::series::TimeSeries;
 use simkit::time::SimTime;
 
 /// Addresses one series: a metric name plus a subject (container, app, or
 /// system).
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct SeriesKey {
     /// Metric name (see [`crate::metrics`]).
     pub metric: String,
@@ -27,13 +36,108 @@ impl SeriesKey {
     }
 }
 
+/// A `(metric, subject)` view shared by owned [`SeriesKey`]s and borrowed
+/// `(&str, &str)` pairs, so the store can be probed without building a
+/// key. `Hash`, `Eq` and `Ord` all go through [`KeyView::parts`], which
+/// keeps them consistent with `SeriesKey`'s own impls, as `Borrow`
+/// requires.
+trait KeyView {
+    fn parts(&self) -> (&str, &str);
+}
+
+impl KeyView for SeriesKey {
+    fn parts(&self) -> (&str, &str) {
+        (&self.metric, &self.subject)
+    }
+}
+
+impl KeyView for (&str, &str) {
+    fn parts(&self) -> (&str, &str) {
+        (self.0, self.1)
+    }
+}
+
+impl<'a> Borrow<dyn KeyView + 'a> for SeriesKey {
+    fn borrow(&self) -> &(dyn KeyView + 'a) {
+        self
+    }
+}
+
+impl Hash for SeriesKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.parts().hash(state);
+    }
+}
+
+impl Hash for dyn KeyView + '_ {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.parts().hash(state);
+    }
+}
+
+impl PartialEq for dyn KeyView + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.parts() == other.parts()
+    }
+}
+
+impl Eq for dyn KeyView + '_ {}
+
+impl PartialOrd for dyn KeyView + '_ {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for dyn KeyView + '_ {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.parts().cmp(&other.parts())
+    }
+}
+
 /// The time-series store.
 ///
 /// All queries take half-open windows `[from, to)`. Writes must be
 /// time-ordered per series (enforced by [`TimeSeries`]).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Clone, Default)]
 pub struct Tsdb {
-    series: BTreeMap<SeriesKey, TimeSeries>,
+    series: HashMap<SeriesKey, TimeSeries>,
+}
+
+impl std::fmt::Debug for Tsdb {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        struct Sorted<'a>(&'a Tsdb);
+        impl std::fmt::Debug for Sorted<'_> {
+            fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+                f.debug_map().entries(self.0.iter()).finish()
+            }
+        }
+        f.debug_struct("Tsdb")
+            .field("series", &Sorted(self))
+            .finish()
+    }
+}
+
+/// Serializes as the map-backed store always has: `{"series": [[key,
+/// series], …]}` in key order.
+impl Serialize for Tsdb {
+    fn to_value(&self) -> Value {
+        let pairs = self
+            .iter()
+            .map(|(k, s)| Value::Seq(vec![k.to_value(), s.to_value()]))
+            .collect();
+        Value::Map(vec![("series".to_string(), Value::Seq(pairs))])
+    }
+}
+
+impl Deserialize for Tsdb {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        let series: BTreeMap<SeriesKey, TimeSeries> =
+            Deserialize::from_value(serde::__field(v, "series")?)?;
+        Ok(Tsdb {
+            series: series.into_iter().collect(),
+        })
+    }
 }
 
 impl Tsdb {
@@ -44,15 +148,21 @@ impl Tsdb {
 
     /// Appends a sample to `(metric, subject)`.
     pub fn record(&mut self, metric: &str, subject: &str, at: SimTime, value: f64) {
-        self.series
-            .entry(SeriesKey::new(metric, subject))
-            .or_default()
-            .push(at, value);
+        let probe: &dyn KeyView = &(metric, subject);
+        match self.series.get_mut(probe) {
+            Some(series) => series.push(at, value),
+            None => self
+                .series
+                .entry(SeriesKey::new(metric, subject))
+                .or_default()
+                .push(at, value),
+        }
     }
 
     /// The series for `(metric, subject)`, if any samples exist.
     pub fn series(&self, metric: &str, subject: &str) -> Option<&TimeSeries> {
-        self.series.get(&SeriesKey::new(metric, subject))
+        let probe: &dyn KeyView = &(metric, subject);
+        self.series.get(probe)
     }
 
     /// Latest value of `(metric, subject)`.
@@ -99,11 +209,14 @@ impl Tsdb {
 
     /// All subjects that have samples for `metric`, in order.
     pub fn subjects_of(&self, metric: &str) -> Vec<&str> {
-        self.series
+        let mut subjects: Vec<&str> = self
+            .series
             .keys()
             .filter(|k| k.metric == metric)
             .map(|k| k.subject.as_str())
-            .collect()
+            .collect();
+        subjects.sort_unstable();
+        subjects
     }
 
     /// Number of stored series.
@@ -116,14 +229,17 @@ impl Tsdb {
         self.series.values().map(TimeSeries::len).sum()
     }
 
-    /// Iterates over all `(key, series)` pairs (used by CSV export).
+    /// Iterates over all `(key, series)` pairs in key order (used by CSV
+    /// export).
     pub fn iter(&self) -> impl Iterator<Item = (&SeriesKey, &TimeSeries)> {
-        self.series.iter()
+        let mut pairs: Vec<_> = self.series.iter().collect();
+        pairs.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        pairs.into_iter()
     }
 
     /// A copy of every series whose subject is in `subjects` (a migrating
     /// tenant's app and container series, for example).
-    pub fn extract_subjects(&self, subjects: &std::collections::BTreeSet<String>) -> Tsdb {
+    pub fn extract_subjects(&self, subjects: &BTreeSet<String>) -> Tsdb {
         Tsdb {
             series: self
                 .series
@@ -135,12 +251,12 @@ impl Tsdb {
     }
 
     /// Removes every series whose subject is in `subjects`.
-    pub fn remove_subjects(&mut self, subjects: &std::collections::BTreeSet<String>) {
+    pub fn remove_subjects(&mut self, subjects: &BTreeSet<String>) {
         self.series.retain(|k, _| !subjects.contains(&k.subject));
     }
 
     /// Subjects that have at least one series, in order.
-    pub fn all_subjects(&self) -> std::collections::BTreeSet<String> {
+    pub fn all_subjects(&self) -> BTreeSet<String> {
         self.series.keys().map(|k| k.subject.clone()).collect()
     }
 
@@ -153,7 +269,12 @@ impl Tsdb {
     /// namespaces (per-app and per-container ids), so a collision means
     /// the same entity exists on both sides.
     pub fn merge_from(&mut self, other: Tsdb) -> Result<(), String> {
-        if let Some(k) = other.series.keys().find(|k| self.series.contains_key(*k)) {
+        if let Some(k) = other
+            .series
+            .keys()
+            .filter(|k| self.series.contains_key(*k))
+            .min()
+        {
             return Err(format!(
                 "series ({}, {}) exists on both sides of the merge",
                 k.metric, k.subject
